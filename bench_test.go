@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -261,58 +260,6 @@ func BenchmarkConcurrentAdmission(b *testing.B) {
 	stats := adm.Stats()
 	if total := stats.Admitted + stats.Rejected; total > 0 {
 		b.ReportMetric(float64(stats.Admitted)/float64(total), "admit-rate")
-	}
-}
-
-// BenchmarkOptimisticAdmission is the optimistic counterpart of
-// BenchmarkConcurrentAdmission: the same workload admitted through the
-// two-phase plan/validate/commit pipeline (place.OptimisticAdmitter)
-// with GOMAXPROCS planners, so -cpu=1,4,8 contrasts intra-shard
-// scaling of the optimistic path against the locked path's serial
-// ceiling.
-func BenchmarkOptimisticAdmission(b *testing.B) {
-	tree := topology.New(topology.MediumSpec())
-	adm := place.NewOptimisticAdmitter(tree,
-		func(t *topology.Tree) place.Placer { return cloudmirror.New(t) },
-		runtime.GOMAXPROCS(0))
-	pool := workload.BingLike(1)
-	workload.ScaleToBmax(pool, 800)
-	var nextSeed atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		r := rand.New(rand.NewSource(nextSeed.Add(1)))
-		var live []place.Grant
-		defer func() {
-			for _, g := range live {
-				g.Release()
-			}
-		}()
-		for pb.Next() {
-			g := pool[r.Intn(len(pool))]
-			grant, err := adm.Admit(&place.Request{Graph: g, Model: g})
-			if err != nil {
-				if !errors.Is(err, place.ErrRejected) {
-					b.Errorf("placement failed: %v", err)
-					return
-				}
-				if len(live) > 0 {
-					live[0].Release()
-					live = live[1:]
-				}
-				continue
-			}
-			live = append(live, grant)
-			if len(live) > 8 {
-				live[0].Release()
-				live = live[1:]
-			}
-		}
-	})
-	b.StopTimer()
-	st := adm.OptStats()
-	if total := st.Admitted + st.Rejected; total > 0 {
-		b.ReportMetric(float64(st.Admitted)/float64(total), "admit-rate")
-		b.ReportMetric(float64(st.Conflicts)/float64(total), "conflict-rate")
 	}
 }
 

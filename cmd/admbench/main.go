@@ -1,5 +1,5 @@
-// Command admbench measures sustained admission throughput — locked
-// versus optimistic two-phase admission on one shared tree — at several
+// Command admbench measures sustained admission throughput — in memory
+// and durable, on one shared tree and on shard fleets — at several
 // client concurrency levels, and writes the results as JSON so CI can
 // track the performance trajectory across commits.
 //
@@ -23,15 +23,14 @@
 // (CPU for the whole run, heap at exit) for feeding `go tool pprof`.
 //
 // For each shard count in -shards and each goroutine count G the tool
-// runs the same workload twice: once through the locked admission path
-// and once through the optimistic two-phase pipeline with G planners
-// (both behind the public guarantee.Service). The admissions-per-second
-// ratio between the two is the intra-shard speedup the optimistic
-// pipeline buys. With -durable (on by default) each single-shard level
-// additionally runs the locked path against a write-ahead log in a
-// temp directory, exercising the WAL group commit; the cell reports
-// how many fsyncs the run paid. Every cell also records the heap cost
-// per admission decision, and the report closes with a per-mode
+// runs the workload through the in-memory service (mode "locked", the
+// name the committed baselines key their rows on: each shard's
+// place.Admitter behind the public guarantee.Service). With
+// -durable (on by default) each single-shard level additionally runs
+// against a write-ahead log in a temp directory (mode "durable"),
+// exercising the WAL group commit; the cell reports how many fsyncs
+// the run paid. Every cell also records the heap cost per admission
+// decision, and the report closes with a per-mode
 // scaling-efficiency summary (throughput at the top concurrency level
 // over throughput single-threaded).
 package main
@@ -58,7 +57,6 @@ type result struct {
 	Mode             string  `json:"mode"`
 	Shards           int     `json:"shards"`
 	Goroutines       int     `json:"goroutines"`
-	Planners         int     `json:"planners"`
 	Attempts         int     `json:"attempts"`
 	Admitted         int     `json:"admitted"`
 	Rejected         int     `json:"rejected"`
@@ -195,16 +193,9 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			rep.Results = append(rep.Results, cell("locked", g, 0, locked))
-			opt, err := sim.OptimisticThroughput(cfg, shards, "", g, g)
-			if err != nil {
-				fatal(err)
-			}
-			rep.Results = append(rep.Results, cell("optimistic", g, g, opt))
-			lps := rep.Results[len(rep.Results)-2].AdmissionsPerSec
-			ops := rep.Results[len(rep.Results)-1].AdmissionsPerSec
-			fmt.Fprintf(os.Stderr, "admbench: shards=%d goroutines=%d locked %.0f adm/s, optimistic %.0f adm/s (×%.2f)\n",
-				shards, g, lps, ops, ops/lps)
+			rep.Results = append(rep.Results, cell("locked", g, locked))
+			fmt.Fprintf(os.Stderr, "admbench: shards=%d goroutines=%d locked %.0f adm/s\n",
+				shards, g, rep.Results[len(rep.Results)-1].AdmissionsPerSec)
 			if !*durable || shards != 1 {
 				continue
 			}
@@ -217,13 +208,13 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			rep.Results = append(rep.Results, cell("durable", g, 0, dur))
+			rep.Results = append(rep.Results, cell("durable", g, dur))
 			fmt.Fprintf(os.Stderr, "admbench: goroutines=%d durable %.0f adm/s (%d fsyncs / %d attempts)\n",
 				g, rep.Results[len(rep.Results)-1].AdmissionsPerSec, dur.Fsyncs, dur.Attempts)
 		}
 	}
 	rep.ScalingEfficiency = scalingEfficiency(rep.Results)
-	for _, mode := range []string{"locked", "optimistic", "durable"} {
+	for _, mode := range []string{"locked", "durable"} {
 		if eff, ok := rep.ScalingEfficiency[mode]; ok {
 			fmt.Fprintf(os.Stderr, "admbench: scaling efficiency %s %.2f\n", mode, eff)
 		}
@@ -298,12 +289,11 @@ func writeJSON(out string, v any) {
 // headline admissions/sec counts only admitted tenants; attempts/sec
 // (admissions + rejections decided per second) rides along so a
 // rejection-heavy run is distinguishable from a slow one.
-func cell(mode string, goroutines, planners int, r *sim.ThroughputResult) result {
+func cell(mode string, goroutines int, r *sim.ThroughputResult) result {
 	c := result{
 		Mode:           mode,
 		Shards:         r.Shards,
 		Goroutines:     goroutines,
-		Planners:       planners,
 		Attempts:       r.Attempts,
 		Admitted:       r.Admitted,
 		Rejected:       r.Rejected,

@@ -8,21 +8,26 @@
 //	benchdiff -old BENCH_admission.json -new BENCH_admission.new.json [-fail 0.3]
 //
 // Both files are flattened generically: every numeric leaf becomes a
-// dotted path (arrays by index — benchmark shapes are deterministic,
-// so index alignment is stable), and each path present in both files
-// is reported as old -> new with the relative change. With -fail F,
-// any gated metric that regresses by more than the fraction F fails
-// the run — the regression gate for `make bench-diff`. Gated metrics
-// and their good directions: *per_sec and scaling_efficiency.* are
-// higher-better (a drop regresses); *per_admit allocation costs are
-// lower-better (a rise regresses). Timing noise on shared CI machines
-// is real, so the default is report-only.
+// dotted path, and each path present in both files is reported as
+// old -> new with the relative change. Array elements that carry
+// identifying fields (mode/shards/goroutines for admission cells,
+// tenants/dirty_fraction for enforcement cells) are addressed by those
+// fields rather than by index, so a row deleted from or reordered in
+// one report can never misalign the comparison of the others. With
+// -fail F, any gated metric that regresses by more than the fraction F
+// fails the run — the regression gate for `make bench-diff`. Gated
+// metrics and their good directions: *per_sec and scaling_efficiency.*
+// are higher-better (a drop regresses); *per_admit allocation costs
+// are lower-better (a rise regresses). Timing noise on shared CI
+// machines is real, so the default is report-only.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"sort"
 	"strings"
@@ -46,31 +51,10 @@ func main() {
 		fatal(err)
 	}
 
-	paths := make([]string, 0, len(newM))
-	for p := range newM {
-		if _, ok := oldM[p]; ok {
-			paths = append(paths, p)
-		}
-	}
-	sort.Strings(paths)
-	if len(paths) == 0 {
-		fatal(fmt.Errorf("no common numeric metrics between %s and %s", *oldPath, *newPath))
-	}
-
 	fmt.Printf("benchdiff %s -> %s\n", *oldPath, *newPath)
-	worst, worstPath := 0.0, ""
-	for _, p := range paths {
-		o, n := oldM[p], newM[p]
-		change := 0.0
-		if o != 0 {
-			change = (n - o) / o
-		}
-		fmt.Printf("  %-60s %14.4g -> %14.4g  %+7.2f%%\n", p, o, n, change*100)
-		// Only gated metrics count toward the regression verdict;
-		// regression() orients each kind so positive means worse.
-		if r := regression(p, change); r > worst {
-			worst, worstPath = r, p
-		}
+	worst, worstPath, err := compare(oldM, newM, os.Stdout)
+	if err != nil {
+		fatal(fmt.Errorf("%s vs %s: %w", *oldPath, *newPath, err))
 	}
 	if worstPath != "" {
 		fmt.Printf("worst regression: %s (%.2f%%)\n", worstPath, worst*100)
@@ -78,6 +62,36 @@ func main() {
 	if *failOver > 0 && worst > *failOver {
 		fatal(fmt.Errorf("%s regressed %.2f%%, over the %.0f%% gate", worstPath, worst*100, *failOver*100))
 	}
+}
+
+// compare prints every metric present in both flattened reports as
+// old -> new with its relative change and returns the worst gated
+// regression and its path.
+func compare(oldM, newM map[string]float64, w io.Writer) (worst float64, worstPath string, err error) {
+	var paths []string
+	for p := range newM {
+		if _, ok := oldM[p]; ok {
+			paths = append(paths, p)
+		}
+	}
+	if len(paths) == 0 {
+		return 0, "", fmt.Errorf("no common numeric metrics")
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		o, n := oldM[p], newM[p]
+		change := 0.0
+		if o != 0 {
+			change = (n - o) / o
+		}
+		fmt.Fprintf(w, "  %-60s %14.4g -> %14.4g  %+7.2f%%\n", p, o, n, change*100)
+		// Only gated metrics count toward the regression verdict;
+		// regression() orients each kind so positive means worse.
+		if r := regression(p, change); r > worst {
+			worst, worstPath = r, p
+		}
+	}
+	return worst, worstPath, nil
 }
 
 // regression maps a metric's relative change to its regression
@@ -105,13 +119,40 @@ func load(path string) (map[string]float64, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	m := make(map[string]float64)
-	flatten("", v, m)
+	if err := flatten("", v, m); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
 	return m, nil
 }
 
+// rowKeyFields are the fields that identify a result row, in the order
+// they appear in its key. A row's key is built from whichever of them
+// it carries; rows with none of them fall back to their array index.
+var rowKeyFields = []string{"mode", "shards", "goroutines", "tenants", "dirty_fraction"}
+
+// rowKey names an array element by its identifying fields, e.g.
+// "mode=locked/shards=1/goroutines=4". It reports false for elements
+// that are not objects or carry no identifying field.
+func rowKey(e any) (string, bool) {
+	obj, ok := e.(map[string]any)
+	if !ok {
+		return "", false
+	}
+	var parts []string
+	for _, f := range rowKeyFields {
+		if v, ok := obj[f]; ok {
+			parts = append(parts, fmt.Sprintf("%s=%v", f, v))
+		}
+	}
+	return strings.Join(parts, "/"), len(parts) > 0
+}
+
 // flatten walks the decoded JSON, recording every numeric leaf under
-// its dotted path.
-func flatten(prefix string, v any, out map[string]float64) {
+// its dotted path. Keyed array elements are addressed by rowKey (their
+// identifying fields are part of the path, not metrics); two elements
+// of one array with the same key are an error, since either one could
+// be compared against the other report's row.
+func flatten(prefix string, v any, out map[string]float64) error {
 	switch x := v.(type) {
 	case map[string]any:
 		keys := make([]string, 0, len(x))
@@ -124,15 +165,36 @@ func flatten(prefix string, v any, out map[string]float64) {
 			if prefix != "" {
 				p = prefix + "." + k
 			}
-			flatten(p, x[k], out)
+			if err := flatten(p, x[k], out); err != nil {
+				return err
+			}
 		}
 	case []any:
+		seen := make(map[string]bool, len(x))
 		for i, e := range x {
-			flatten(fmt.Sprintf("%s[%d]", prefix, i), e, out)
+			key, ok := rowKey(e)
+			if !ok {
+				if err := flatten(fmt.Sprintf("%s[%d]", prefix, i), e, out); err != nil {
+					return err
+				}
+				continue
+			}
+			if seen[key] {
+				return fmt.Errorf("%s: duplicate row %s", prefix, key)
+			}
+			seen[key] = true
+			row := maps.Clone(e.(map[string]any))
+			for _, f := range rowKeyFields {
+				delete(row, f)
+			}
+			if err := flatten(fmt.Sprintf("%s[%s]", prefix, key), row, out); err != nil {
+				return err
+			}
 		}
 	case float64:
 		out[prefix] = x
 	}
+	return nil
 }
 
 func fatal(err error) {

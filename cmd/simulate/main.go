@@ -8,7 +8,7 @@
 //	         [-workload bing|hpcloud|synthetic] [-servers 128|512|2048]
 //	         [-arrivals N] [-load F] [-bmax Mbps] [-rwcs F] [-oversub R]
 //	         [-seed N] [-parallel N] [-churn] [-shards N] [-policy rr|least|p2c]
-//	         [-planners N] [-resize F] [-enforce] [-enforce-every N]
+//	         [-resize F] [-enforce] [-enforce-every N]
 //
 // Example:
 //
@@ -29,14 +29,6 @@
 // issuing -arrivals admission attempts in total, and the sustained
 // decisions-per-second rate is reported.
 //
-// With -planners N (N > 0, combined with -churn or -parallel) each
-// shard runs the optimistic two-phase admission pipeline instead of
-// the locked one: requests plan speculatively on N private replica
-// trees and only a short validate-and-commit section serializes on
-// the authoritative ledger. -planners 1 reproduces the locked path's
-// decisions exactly; higher values trade strict arrival-order
-// decision making for intra-shard concurrency.
-//
 // With -resize F (combined with -churn) each arrival is followed, with
 // probability F, by an elastic tier resize of one live tenant through
 // the guarantee API — the paper's §6 auto-scaling under churn.
@@ -49,7 +41,7 @@
 // Enforcement demands come from a dedicated RNG, so the admission
 // trace is byte-identical with and without -enforce.
 //
-// Algorithm, policy, shard, and planner validation lives in the public
+// Algorithm, policy, and shard validation lives in the public
 // guarantee package; this command only maps flags onto its functional
 // options.
 package main
@@ -80,18 +72,14 @@ func main() {
 	churn := flag.Bool("churn", false, "run the dynamic-churn simulation (arrivals and departures over a sharded fleet)")
 	shards := flag.Int("shards", 1, "number of independent datacenter trees behind the dispatcher")
 	policy := flag.String("policy", "rr", "dispatch policy: rr, least, p2c")
-	planners := flag.Int("planners", 0, "per-shard optimistic planner count (0 = locked admission; requires -churn or -parallel)")
 	resize := flag.Float64("resize", 0, "per-arrival probability of an elastic tier resize (churn mode)")
 	enforce := flag.Bool("enforce", false, "attach the enforcement dataplane and interleave GP/RA control periods (churn mode)")
 	enforceEvery := flag.Int("enforce-every", 16, "control-period cadence in arrivals (with -enforce)")
 	flag.Parse()
 
-	// Fleet-option validation (policy names, shard and planner counts)
-	// lives in guarantee.New; only the flag interplay this command owns
-	// is checked here.
-	if *planners > 0 && !*churn && *par <= 0 {
-		fatal(fmt.Errorf("-planners %d needs -churn or -parallel: the single-run mode always places serially", *planners))
-	}
+	// Fleet-option validation (policy names, shard counts) lives in
+	// guarantee.New; only the flag interplay this command owns is
+	// checked here.
 	if *resize > 0 && !*churn {
 		fatal(fmt.Errorf("-resize %g needs -churn: only the churn simulation drives elastic scaling", *resize))
 	}
@@ -155,7 +143,6 @@ func main() {
 			ModelFor:     cfg.ModelFor,
 			Pool:         cfg.Pool,
 			Shards:       *shards,
-			Planners:     *planners,
 			Policy:       *policy,
 			Arrivals:     cfg.Arrivals,
 			Load:         cfg.Load,
@@ -171,8 +158,8 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("algorithm        %s\n", cr.Placer)
-		fmt.Printf("fleet            %d shards × %d servers × %d slots, policy %s, admission %s\n",
-			cr.Shards, spec.Servers(), spec.SlotsPerServer, cr.Policy, admissionMode(*planners))
+		fmt.Printf("fleet            %d shards × %d servers × %d slots, policy %s\n",
+			cr.Shards, spec.Servers(), spec.SlotsPerServer, cr.Policy)
 		fmt.Printf("arrivals         %d  (admitted %d, rejected %d, departed %d)\n",
 			cr.Arrivals, cr.Admitted, cr.Rejected, cr.Departures)
 		if cr.Resized+cr.ResizeRejected > 0 {
@@ -202,19 +189,13 @@ func main() {
 	}
 
 	if *par > 0 {
-		var tr *sim.ThroughputResult
-		var err error
-		if *planners > 0 {
-			tr, err = sim.OptimisticThroughput(cfg, *shards, *policy, *planners, *par)
-		} else {
-			tr, err = sim.ShardedThroughput(cfg, *shards, *policy, *par)
-		}
+		tr, err := sim.ShardedThroughput(cfg, *shards, *policy, *par)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("algorithm        %s\n", tr.Placer)
-		fmt.Printf("fleet            %d shards × %d servers × %d slots, policy %s, admission %s\n",
-			tr.Shards, spec.Servers(), spec.SlotsPerServer, tr.Policy, admissionMode(*planners))
+		fmt.Printf("fleet            %d shards × %d servers × %d slots, policy %s\n",
+			tr.Shards, spec.Servers(), spec.SlotsPerServer, tr.Policy)
 		fmt.Printf("workers          %d concurrent admission clients\n", tr.Workers)
 		fmt.Printf("attempts         %d  (admitted %d, rejected %d, failovers %d)\n",
 			tr.Attempts, tr.Admitted, tr.Rejected, tr.Failovers)
@@ -242,14 +223,6 @@ func main() {
 		}
 	}
 	fmt.Printf("placement time   %s total\n", res.PlacementTime.Round(1e6))
-}
-
-// admissionMode names the per-shard admission path the flags selected.
-func admissionMode(planners int) string {
-	if planners > 0 {
-		return fmt.Sprintf("optimistic (%d planners)", planners)
-	}
-	return "locked"
 }
 
 func fatal(err error) {

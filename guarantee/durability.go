@@ -46,7 +46,6 @@ const snapshotVersion = 1
 // caller repeating options.
 type durableConfig struct {
 	Shards        int                `json:"shards"`
-	Planners      int                `json:"planners"`
 	Policy        string             `json:"policy"`
 	Seed          int64              `json:"seed"`
 	Algorithm     string             `json:"algorithm"`
@@ -142,7 +141,6 @@ func createDurability(spec topology.Spec, c *config, svc *service) error {
 		spec:  spec,
 		cfg: durableConfig{
 			Shards:        c.shards,
-			Planners:      c.planners,
 			Policy:        c.policy,
 			Seed:          c.seed,
 			Algorithm:     c.algorithm,
@@ -194,7 +192,6 @@ func Open(dir string, opts ...Option) (Service, error) {
 	}
 	c := config{
 		shards:    snap.Config.Shards,
-		planners:  snap.Config.Planners,
 		policy:    snap.Config.Policy,
 		seed:      snap.Config.Seed,
 		algorithm: snap.Config.Algorithm,
@@ -244,8 +241,6 @@ func (d *Durability) recover(snap *snapshotFile, suffix [][]byte) error {
 		if err := sh.Tree().ImportLedger(snap.Shards[i].Ledger); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		// Re-base optimistic planner replicas on the imported bits.
-		sh.Resync()
 		sh.RestorePlacerStates(snap.Shards[i].PlacerStates)
 	}
 	// 2. Attach the snapshot's live grants (sorted by key within each
@@ -300,11 +295,6 @@ func (d *Durability) recover(snap *snapshotFile, suffix [][]byte) error {
 	// position from it.
 	if sp, ok := svc.disp.Policy().(cluster.StatefulPolicy); ok {
 		sp.RestorePicks(snap.Picks+dispatched, n)
-	}
-	// 6. Replicas re-based once more after replay advanced the
-	// authoritative ledgers, trimming the delta logs.
-	for i := 0; i < n; i++ {
-		svc.cl.Shard(i).Resync()
 	}
 	return nil
 }
@@ -363,7 +353,7 @@ func (d *Durability) replayEvent(ev place.Event) error {
 			// lifecycle event still reached the enforcement sink.
 			return g.ten.Resize(ev.Graph)
 		}
-		return g.ten.ReplayResize(ev)
+		g.ten.ReplayResize(ev)
 	case place.EventRejected:
 		svc.cl.Shard(ev.Shard).ReplayReject()
 	case place.EventFailed:

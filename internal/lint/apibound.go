@@ -9,10 +9,10 @@ import (
 	"cloudmirror/internal/lint/analysis"
 )
 
-// APIBoundAnalyzer enforces the public-API boundary rules that
-// scripts/api-check.sh used to grep for, on the real import graph and
-// the type checker's resolved references. Each BoundaryRule in
-// boundaryRules is checked three ways:
+// APIBoundAnalyzer enforces the public-API boundary rules, once five
+// greps over cmd/ and examples/, on the real import graph and the type
+// checker's resolved references. Each BoundaryRule in boundaryRules is
+// checked three ways:
 //
 //   - direct imports of a forbidden package, regardless of alias;
 //   - references to banned objects of an otherwise-importable package

@@ -58,7 +58,7 @@ type BoundaryRule struct {
 	Hint string
 }
 
-// cmdAndExamples is the checked surface of the original api-check rules
+// cmdAndExamples is the checked surface of the original grep rules
 // 1-4: binaries and examples.
 var cmdAndExamples = []string{"cloudmirror/cmd", "cloudmirror/examples"}
 
@@ -67,7 +67,7 @@ var cmdAndExamples = []string{"cloudmirror/cmd", "cloudmirror/examples"}
 var guaranteeGateway = []string{"cloudmirror/guarantee"}
 
 // boundaryRules carries the five public-API boundary contracts,
-// formerly the five grep rules of scripts/api-check.sh.
+// formerly five grep rules over cmd/ and examples/.
 var boundaryRules = []BoundaryRule{
 	{
 		Name:      "cluster",
@@ -80,9 +80,7 @@ var boundaryRules = []BoundaryRule{
 		Name: "place-admission",
 		Objects: map[string][]string{
 			"cloudmirror/internal/place": {
-				"NewAdmitter", "NewOptimisticAdmitter",
-				"Admitter", "OptimisticAdmitter",
-				"Admission", "Grant",
+				"NewAdmitter", "Admitter", "Admitted",
 			},
 		},
 		Checked: cmdAndExamples,

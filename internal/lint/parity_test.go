@@ -11,14 +11,15 @@ import (
 	"cloudmirror/internal/lint/linttest"
 )
 
-// grepRules reproduces, verbatim, the five regexes of the retired
-// scripts/api-check.sh grep body. The parity tests prove that every
-// breach the greps caught is still caught by apibound, and that the
+// grepRules reproduces the five regexes of the retired api-check grep
+// body, with the place-admission rule naming the surviving admission
+// API (NewAdmitter, Admitter, Admitted). The parity tests prove that
+// every breach the greps caught is still caught by apibound, and that the
 // breaches the greps provably missed (aliased imports, laundering
 // helpers) are caught now.
 var grepRules = map[string]*regexp.Regexp{
 	"cluster":         regexp.MustCompile(`"cloudmirror/internal/cluster"`),
-	"place-admission": regexp.MustCompile(`place\.(NewAdmitter|NewOptimisticAdmitter|Admitter|OptimisticAdmitter|Admission|Grant)\b`),
+	"place-admission": regexp.MustCompile(`place\.(NewAdmitter|Admitter|Admitted)\b`),
 	"placer":          regexp.MustCompile(`"cloudmirror/internal/place/(cloudmirror|oktopus|secondnet)"`),
 	"enforcement":     regexp.MustCompile(`"cloudmirror/internal/(enforce|netem|dataplane)"`),
 	"wal":             regexp.MustCompile(`"cloudmirror/internal/wal"`),

@@ -5,6 +5,6 @@ package main
 import "cloudmirror/internal/place"
 
 func main() {
-	adm := place.NewAdmitter() // want `reference to cloudmirror/internal/place\.NewAdmitter breaches the place-admission boundary`
-	_ = adm
+	_ = place.NewAdmitter() // want `reference to cloudmirror/internal/place\.NewAdmitter breaches the place-admission boundary`
+	var _ *place.Admitted   // want `reference to cloudmirror/internal/place\.Admitted breaches the place-admission boundary`
 }

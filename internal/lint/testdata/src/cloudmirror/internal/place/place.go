@@ -2,8 +2,9 @@
 // admission machinery plus one data helper that stays usable.
 package place
 
-// Admitter stands in for the serialized admission path.
+// Admitter and Admitted stand in for the admission path and its grants.
 type Admitter struct{}
+type Admitted struct{}
 
 // NewAdmitter constructs the admitter binaries must not touch.
 func NewAdmitter() *Admitter { return &Admitter{} }

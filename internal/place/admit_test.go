@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -189,4 +190,71 @@ func TestAdmittedReleaseIdempotent(t *testing.T) {
 	if s := adm.Stats(); s.Released != 1 {
 		t.Errorf("released counter = %d, want 1", s.Released)
 	}
+}
+
+// TestGrantDoubleReleaseRace: concurrent double-Release of many grants
+// frees each tenant exactly once — counters match and the ledger drains
+// to pristine. It runs on the locked Admitter, the one admission path.
+func TestGrantDoubleReleaseRace(t *testing.T) {
+	t.Run("locked", func(t *testing.T) {
+		tr := testTree()
+		adm := NewAdmitter(tr, &firstFit{tree: tr})
+		var grants []*Admitted
+		for i := 0; len(grants) < 6; i++ {
+			g := stressTenant(i)
+			grant, err := adm.Place(&Request{ID: int64(i), Graph: g, Model: g})
+			if err != nil {
+				t.Fatalf("admit %d: %v", i, err)
+			}
+			grants = append(grants, grant)
+		}
+		var wg sync.WaitGroup
+		for _, g := range grants {
+			for k := 0; k < 4; k++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					g.Release()
+				}()
+			}
+		}
+		wg.Wait()
+		pristine(t, tr)
+		st := adm.Stats()
+		if st.Released != int64(len(grants)) {
+			t.Errorf("released counter = %d, want %d (double releases must not count)",
+				st.Released, len(grants))
+		}
+		if st.Admitted != int64(len(grants)) {
+			t.Errorf("admitted counter = %d, want %d", st.Admitted, len(grants))
+		}
+	})
+}
+
+// TestGrantReservationDetached: the reservation a grant exposes is
+// inspection-only — a direct Release on it must not touch the shared
+// ledger (departures go through the grant, which commits the negated
+// delta).
+func TestGrantReservationDetached(t *testing.T) {
+	tr := testTree()
+	adm := NewAdmitter(tr, &firstFit{tree: tr})
+	g := twoTier() // spans servers, so bandwidth is actually reserved
+	grant, err := adm.Place(&Request{ID: 1, Graph: g, Model: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := grant.Reservation()
+	if res.Placement().VMs() == 0 {
+		t.Error("grant reservation has no placement")
+	}
+	if res.TotalReserved() <= 0 {
+		t.Error("grant reservation has no bandwidth")
+	}
+	before := ledgerBits(tr)
+	res.Release() // must be a no-op
+	if !reflect.DeepEqual(ledgerBits(tr), before) {
+		t.Error("direct Release on a grant's reservation mutated the ledger")
+	}
+	grant.Release()
+	pristine(t, tr)
 }

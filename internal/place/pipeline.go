@@ -7,13 +7,13 @@ import (
 
 // Flat-combining commit pipeline.
 //
-// Both admission paths funnel their critical sections through a
-// combiner: callers publish operations on a lock-free MPSC list, and
+// The Admitter funnels its critical sections through a combiner:
+// callers publish operations on a lock-free MPSC list, and
 // whichever caller wins a combiner token drains the list and executes
 // the whole batch — in arrival order — under ONE acquisition of the
 // admitter mutex. Under contention this replaces N mutex handoffs (each
-// a scheduler wakeup) with one: the combiner executes the short
-// validate-and-commit sections back to back while the other submitters
+// a scheduler wakeup) with one: the combiner executes the
+// place-and-commit sections back to back while the other submitters
 // sleep exactly once on their op's completion signal. With a single
 // caller the queue degenerates to push + self-execute, so the serial
 // path's behavior — and the ledger it produces — is unchanged.

@@ -2,11 +2,13 @@ package place
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
 
+	"cloudmirror/internal/tag"
 	"cloudmirror/internal/topology"
 )
 
@@ -18,17 +20,33 @@ type pipelineRun struct {
 	bits  []uint64
 }
 
-// drivePipeline runs a fixed seeded admit/churn sequence against adm
+// releaser is the part of a grant the drive needs; both the Admitter's
+// grants and the serial reference's satisfy it.
+type releaser interface{ Release() }
+
+// fracTenant is a small two-tier tenant with non-dyadic guarantees, so
+// any change in the number or order of float operations the commit
+// path performs on the ledger shows up in its bits (integer guarantees
+// add and subtract exactly and would hide it).
+func fracTenant(i int) *tag.Graph {
+	g := tag.New(fmt.Sprintf("frac-%d", i))
+	a := g.AddTier("a", 1+i%3)
+	b := g.AddTier("b", 1+(i/3)%3)
+	g.AddEdge(a, b, 10.1+0.37*float64(i%7), 9.3+0.11*float64(i%5))
+	return g
+}
+
+// drivePipeline runs a fixed seeded admit/churn sequence through admit
 // and captures the transcript plus the ledger bits before draining.
-func drivePipeline(t *testing.T, adm Admission, tr *topology.Tree) pipelineRun {
+func drivePipeline(t *testing.T, admit func(*Request) (releaser, error), tr *topology.Tree) pipelineRun {
 	t.Helper()
 	r := rand.New(rand.NewSource(11))
 	const ops = 400
 	trace := make([]byte, 0, ops)
-	var live []Grant
+	var live []releaser
 	for i := 0; i < ops; i++ {
-		g := stressTenant(r.Intn(50))
-		grant, err := adm.Admit(&Request{ID: int64(i), Graph: g, Model: g})
+		g := fracTenant(r.Intn(50))
+		grant, err := admit(&Request{ID: int64(i), Graph: g, Model: g})
 		if err != nil {
 			if !errors.Is(err, ErrRejected) {
 				t.Fatalf("op %d: %v", i, err)
@@ -53,27 +71,28 @@ func drivePipeline(t *testing.T, adm Admission, tr *topology.Tree) pipelineRun {
 
 // TestCommitPipelineDeterminism is the correctness gate of the
 // flat-combining commit pipeline, wired into `make determinism` at
-// -cpu=1,4,8: on a seeded sequence, the pipeline with one planner must
-// be byte-identical to the locked Admitter — the same admit/reject
-// transcript and Float64bits-identical ledger accumulators while
-// tenants are still live — and repeated pipeline runs must reproduce
-// themselves exactly regardless of GOMAXPROCS (which flips the
-// pipeline between combiner-side planning and speculative planning).
+// -cpu=1,4,8: on a seeded sequence, the Admitter must be
+// byte-identical to the serial reference admitter — the same
+// admit/reject transcript and Float64bits-identical ledger
+// accumulators while tenants are still live — and repeated runs must
+// reproduce themselves exactly regardless of GOMAXPROCS.
 func TestCommitPipelineDeterminism(t *testing.T) {
-	lockedTree := testTree()
-	want := drivePipeline(t, NewAdmitter(lockedTree, newFF(lockedTree)), lockedTree)
+	refTree := testTree()
+	ref := newSerialAdmitter(refTree, &firstFit{tree: refTree})
+	want := drivePipeline(t, func(r *Request) (releaser, error) { return ref.Place(r) }, refTree)
 	if len(want.trace) == 0 || !containsBoth(want.trace) {
 		t.Fatalf("degenerate workload: trace %q", want.trace)
 	}
 	for run := 0; run < 3; run++ {
 		tr := testTree()
-		got := drivePipeline(t, NewOptimisticAdmitter(tr, newFF, 1), tr)
+		adm := NewAdmitter(tr, &firstFit{tree: tr})
+		got := drivePipeline(t, func(r *Request) (releaser, error) { return adm.Place(r) }, tr)
 		if got.trace != want.trace {
-			t.Fatalf("run %d: pipeline transcript diverges from locked:\nlocked   %s\npipeline %s",
+			t.Fatalf("run %d: pipeline transcript diverges from the serial reference:\nreference %s\npipeline  %s",
 				run, want.trace, got.trace)
 		}
 		if !reflect.DeepEqual(got.bits, want.bits) {
-			t.Fatalf("run %d: pipeline ledger bits diverge from locked mid-run", run)
+			t.Fatalf("run %d: pipeline ledger bits diverge from the serial reference mid-run", run)
 		}
 	}
 }
@@ -93,12 +112,11 @@ func containsBoth(trace string) bool {
 // releases from concurrent goroutines — and then checks conservation:
 // no non-rejection failures, every admission released, and the tree
 // drained back to pristine. Run under -race in CI, it is the memory-
-// safety gate for the flat-combining queue, the per-planner replicas,
-// and the scratch pools behind them.
+// safety gate for the flat-combining queue and the scratch pools
+// behind it.
 func TestCommitPipelineMixedStress(t *testing.T) {
 	tr := testTree()
-	newRZ := func(t *topology.Tree) Placer { return &fitResizer{firstFit{tree: t}} }
-	adm := NewOptimisticAdmitter(tr, newRZ, 4)
+	adm := NewAdmitter(tr, &fitResizer{firstFit{tree: tr}})
 
 	const goroutines = 8
 	const iters = 50
@@ -108,7 +126,7 @@ func TestCommitPipelineMixedStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(w) + 100))
-			var live []Grant
+			var live []*Admitted
 			release := func(j int) {
 				live[j].Release()
 				live = append(live[:j], live[j+1:]...)
@@ -143,7 +161,7 @@ func TestCommitPipelineMixedStress(t *testing.T) {
 					}
 				default: // single admit
 					g := stressTenant(r.Intn(50))
-					grant, err := adm.Admit(&Request{ID: id, Graph: g, Model: g})
+					grant, err := adm.Place(&Request{ID: id, Graph: g, Model: g})
 					if err != nil {
 						if !errors.Is(err, ErrRejected) {
 							t.Errorf("worker %d: admit error: %v", w, err)
@@ -168,7 +186,7 @@ func TestCommitPipelineMixedStress(t *testing.T) {
 	wg.Wait()
 
 	pristine(t, tr)
-	st := adm.OptStats()
+	st := adm.Stats()
 	if st.Failed != 0 {
 		t.Errorf("%d non-rejection failures", st.Failed)
 	}

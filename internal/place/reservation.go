@@ -51,8 +51,8 @@ func (r *Reservation) TotalReserved() float64 {
 // Delta exports the reservation's net resource footprint as a
 // topology.Delta in canonical (node-ID sorted) form: per-server slot
 // and declared-resource consumption plus per-uplink bandwidth. The
-// delta is what the optimistic admission path validates and applies on
-// the authoritative ledger; accounting-only reservations (Account)
+// delta is what the Admitter commits to the shared ledger and the
+// write-ahead log records; accounting-only reservations (Account)
 // export bandwidth entries only, since they never consumed slots.
 func (r *Reservation) Delta() topology.Delta {
 	var d topology.Delta

@@ -31,13 +31,6 @@ type ChurnConfig struct {
 	Pool []*tag.Graph
 	// Shards is the number of independent datacenter trees (at least 1).
 	Shards int
-	// Planners selects the per-shard admission path: 0 uses the locked
-	// place.Admitter; >= 1 uses the optimistic two-phase
-	// place.OptimisticAdmitter with that many planner replicas per
-	// shard. The event loop is serial either way, so results remain a
-	// deterministic function of the config — and with Planners == 1
-	// they are byte-identical to the locked path's.
-	Planners int
 	// Policy names the dispatch policy: "rr", "least", or "p2c"
 	// (see cluster.NewPolicy). Empty means "rr".
 	Policy string
@@ -239,7 +232,6 @@ func Churn(cfg ChurnConfig) (*ChurnResult, error) {
 		guarantee.WithPlacer(cfg.NewPlacer),
 		guarantee.WithModelFor(cfg.ModelFor),
 		guarantee.WithShards(cfg.Shards),
-		guarantee.WithPlanners(cfg.Planners),
 		guarantee.WithPolicy(cfg.Policy),
 		guarantee.WithSeed(policySeed(cfg.Seed)),
 		guarantee.WithWorkers(cfg.Workers),

@@ -24,9 +24,6 @@ type ThroughputResult struct {
 	Placer, Policy string
 	// Shards is the fleet size; 1 is the single-shared-tree case.
 	Shards int
-	// Planners is the per-shard optimistic planner count; 0 means the
-	// locked admission path.
-	Planners int
 	// Workers is the number of concurrent admission clients.
 	Workers int
 	// Attempts is the total number of admission attempts issued.
@@ -80,20 +77,7 @@ func Throughput(cfg Config, workers int) (*ThroughputResult, error) {
 // (each shard's admission path serializes its ledger mutations), and
 // the fleet is fully drained before returning.
 func ShardedThroughput(cfg Config, shards int, policy string, workers int) (*ThroughputResult, error) {
-	return shardedThroughput(cfg, shards, policy, 0, workers, "")
-}
-
-// OptimisticThroughput is the optimistic-admission variant of
-// ShardedThroughput: each shard runs the two-phase optimistic pipeline
-// with `planners` planner replicas, so concurrent clients plan
-// placements in parallel inside a shard and only the short
-// validate-and-commit sections serialize. planners values below 1 are
-// raised to 1.
-func OptimisticThroughput(cfg Config, shards int, policy string, planners, workers int) (*ThroughputResult, error) {
-	if planners < 1 {
-		planners = 1
-	}
-	return shardedThroughput(cfg, shards, policy, planners, workers, "")
+	return shardedThroughput(cfg, shards, policy, workers, "")
 }
 
 // DurableThroughput is the durable-mode variant of ShardedThroughput:
@@ -102,13 +86,13 @@ func OptimisticThroughput(cfg Config, shards int, policy string, planners, worke
 // Concurrent clients exercise the WAL group commit — the result's
 // Fsyncs field reports how many fsyncs the run actually paid.
 func DurableThroughput(cfg Config, shards int, policy string, workers int, dir string) (*ThroughputResult, error) {
-	return shardedThroughput(cfg, shards, policy, 0, workers, dir)
+	return shardedThroughput(cfg, shards, policy, workers, dir)
 }
 
 // shardedThroughput is the shared measurement loop behind the
-// throughput entry points; planners == 0 selects the locked admission
-// path, and a non-empty walDir makes the service durable.
-func shardedThroughput(cfg Config, shards int, policy string, planners, workers int, walDir string) (*ThroughputResult, error) {
+// throughput entry points; a non-empty walDir makes the service
+// durable.
+func shardedThroughput(cfg Config, shards int, policy string, workers int, walDir string) (*ThroughputResult, error) {
 	if len(cfg.Pool) == 0 {
 		return nil, errors.New("sim: empty tenant pool")
 	}
@@ -122,7 +106,6 @@ func shardedThroughput(cfg Config, shards int, policy string, planners, workers 
 	opts := []guarantee.Option{
 		guarantee.WithModelFor(cfg.ModelFor),
 		guarantee.WithShards(shards),
-		guarantee.WithPlanners(planners),
 		guarantee.WithPolicy(policy),
 		guarantee.WithSeed(policySeed(cfg.Seed)),
 		guarantee.WithWorkers(workers),
@@ -211,7 +194,6 @@ func shardedThroughput(cfg Config, shards int, policy string, planners, workers 
 		Placer:    svc.Name(),
 		Policy:    svc.Policy(),
 		Shards:    svc.Shards(),
-		Planners:  planners,
 		Workers:   workers,
 		Attempts:  int(stats.Admitted + stats.Rejected),
 		Admitted:  int(stats.Admitted),

@@ -77,40 +77,6 @@ func TestShardedThroughput(t *testing.T) {
 	}
 }
 
-// TestOptimisticThroughput drives the optimistic two-phase admission
-// pipeline with concurrent clients and multiple planners per shard;
-// under -race this doubles as a data-race test of the plan/validate/
-// commit machinery beneath the dispatcher.
-func TestOptimisticThroughput(t *testing.T) {
-	for _, planners := range []int{1, 4} {
-		res, err := OptimisticThroughput(throughputConfig(200), 2, "least", planners, 4)
-		if err != nil {
-			t.Fatalf("planners=%d: %v", planners, err)
-		}
-		if res.Planners != planners {
-			t.Errorf("planners = %d, want %d", res.Planners, planners)
-		}
-		if res.Attempts != 200 {
-			t.Errorf("planners=%d: attempts = %d, want 200", planners, res.Attempts)
-		}
-		if res.Admitted+res.Rejected != res.Attempts {
-			t.Errorf("planners=%d: admitted %d + rejected %d != attempts %d",
-				planners, res.Admitted, res.Rejected, res.Attempts)
-		}
-		if res.Admitted == 0 {
-			t.Errorf("planners=%d: nothing admitted", planners)
-		}
-	}
-	// planners < 1 is raised to 1 rather than silently running locked.
-	res, err := OptimisticThroughput(throughputConfig(50), 1, "", 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Planners != 1 {
-		t.Errorf("planners = %d, want 1 after clamping", res.Planners)
-	}
-}
-
 // TestThroughputIsShardsOne: the single-tree entry point is the
 // shards=1 special case of the shared plumbing.
 func TestThroughputIsShardsOne(t *testing.T) {

@@ -82,69 +82,30 @@ func randomDelta(r *rand.Rand, tr *Tree) Delta {
 	return d.Normalize()
 }
 
-// TestDeltaApplyRevertRoundTrip: Apply then Revert of any recorded
-// delta restores the ledger byte-identically — the property the
-// optimistic commit path's conflict aborts rely on.
+// TestDeltaApplyRevertRoundTrip: a snapshot Save before an Apply and
+// a RestoreSnapshot after it revert any recorded delta byte-identically
+// — the rollback the admission path relies on to leave no float residue
+// of a placement attempt in the ledger.
 func TestDeltaApplyRevertRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	tr := smallRes()
+	ck := tr.NewSnapshot()
 	for iter := 0; iter < 200; iter++ {
 		// Drift the tree into an arbitrary occupied state first.
-		warm := randomDelta(r, tr)
-		if err := tr.Validate(warm); err == nil {
-			tr.Apply(warm)
-		}
+		tr.Apply(randomDelta(r, tr))
 		before := mutableState(tr)
 		d := randomDelta(r, tr)
-		if err := tr.Validate(d); err != nil {
-			t.Fatalf("iter %d: random feasible delta rejected: %v", iter, err)
-		}
-		u := tr.Apply(d)
-		tr.Revert(u)
+		tr.Save(ck)
+		tr.Apply(d)
+		tr.RestoreSnapshot(ck)
 		if !reflect.DeepEqual(mutableState(tr), before) {
-			t.Fatalf("iter %d: Apply+Revert did not restore the ledger byte-identically", iter)
+			t.Fatalf("iter %d: Apply+RestoreSnapshot did not restore the ledger byte-identically", iter)
 		}
 		// Keep some occupancy across iterations, released arithmetically.
 		if iter%3 == 0 {
 			tr.Apply(d)
 			tr.Apply(d.Negate())
 		}
-	}
-}
-
-// TestDeltaValidate covers the rejection cases: slot, bandwidth, and
-// resource exhaustion, plus malformed entries.
-func TestDeltaValidate(t *testing.T) {
-	tr := smallRes()
-	s := tr.Servers()[0]
-	if err := tr.Validate(Delta{Slots: []SlotDelta{{s, 5}}}); err == nil {
-		t.Error("5 slots on a 4-slot server validated")
-	}
-	if err := tr.Validate(Delta{Slots: []SlotDelta{{s, -1}}}); err == nil {
-		t.Error("over-release validated")
-	}
-	if err := tr.Validate(Delta{Slots: []SlotDelta{{tr.Root(), 1}}}); err == nil {
-		t.Error("slot delta on the root validated")
-	}
-	if err := tr.Validate(Delta{Links: []LinkDelta{{s, 101, 0}}}); err == nil {
-		t.Error("over-capacity link delta validated")
-	}
-	if err := tr.Validate(Delta{Links: []LinkDelta{{tr.Root(), 1, 0}}}); err == nil {
-		t.Error("bandwidth on the root validated")
-	}
-	if err := tr.Validate(Delta{Resources: []ResourceDelta{{s, []float64{17, 0}}}}); err == nil {
-		t.Error("over-capacity resource delta validated")
-	}
-	if err := tr.Validate(Delta{Resources: []ResourceDelta{{s, []float64{1}}}}); err == nil {
-		t.Error("wrong-dimension resource delta validated")
-	}
-	ok := Delta{
-		Slots:     []SlotDelta{{s, 2}},
-		Links:     []LinkDelta{{s, 50, 25}},
-		Resources: []ResourceDelta{{s, []float64{2, 4}}},
-	}
-	if err := tr.Validate(ok); err != nil {
-		t.Errorf("feasible delta rejected: %v", err)
 	}
 }
 
@@ -158,9 +119,6 @@ func TestDeltaApplyMatchesIncremental(t *testing.T) {
 		Slots:     []SlotDelta{{s0, 3}, {s1, 2}},
 		Links:     []LinkDelta{{s0, 40, 10}, {s1, 5, 5}, {a.Parent(s0), 40, 10}},
 		Resources: []ResourceDelta{{s0, []float64{3, 6}}, {s1, []float64{2, 4}}},
-	}
-	if err := a.Validate(d); err != nil {
-		t.Fatal(err)
 	}
 	a.Apply(d)
 
@@ -216,100 +174,4 @@ func TestDeltaApplyPanics(t *testing.T) {
 			tr.Apply(dd)
 		})
 	}
-}
-
-// TestDeltaLog: append/replay/trim bookkeeping, including the panic on
-// replaying a trimmed prefix.
-func TestDeltaLog(t *testing.T) {
-	l := NewDeltaLog()
-	if l.Seq() != 0 {
-		t.Fatalf("fresh log seq = %d", l.Seq())
-	}
-	for i := 0; i < 5; i++ {
-		if got := l.Append(Delta{Slots: []SlotDelta{{NodeID(i), 1}}}); got != uint64(i+1) {
-			t.Fatalf("append %d returned seq %d", i, got)
-		}
-	}
-	var seen []NodeID
-	if got := l.Replay(2, func(d Delta) { seen = append(seen, d.Slots[0].Server) }); got != 5 {
-		t.Fatalf("replay reached %d, want 5", got)
-	}
-	if !reflect.DeepEqual(seen, []NodeID{2, 3, 4}) {
-		t.Fatalf("replayed %v", seen)
-	}
-	l.TrimTo(3)
-	if l.Seq() != 5 {
-		t.Fatalf("seq after trim = %d", l.Seq())
-	}
-	seen = nil
-	l.Replay(3, func(d Delta) { seen = append(seen, d.Slots[0].Server) })
-	if !reflect.DeepEqual(seen, []NodeID{3, 4}) {
-		t.Fatalf("replayed %v after trim", seen)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("replay below trim did not panic")
-			}
-		}()
-		l.Replay(1, func(Delta) {})
-	}()
-	l.TrimTo(99) // clamps
-	if l.Seq() != 5 {
-		t.Fatalf("seq after over-trim = %d", l.Seq())
-	}
-}
-
-// TestReplicaLifecycle: clone shares shape but not ledger state;
-// catch-up replays committed deltas; checkpoint/restore is byte-exact.
-func TestReplicaLifecycle(t *testing.T) {
-	auth := smallRes()
-	log := NewDeltaLog()
-	rep := NewReplica(auth, log)
-	if rep.Tree() == auth {
-		t.Fatal("replica shares the authoritative tree")
-	}
-	if !reflect.DeepEqual(mutableState(rep.Tree()), mutableState(auth)) {
-		t.Fatal("fresh replica differs from authoritative tree")
-	}
-
-	// Commit two deltas on the authoritative side.
-	s := auth.Servers()[0]
-	d1 := Delta{Slots: []SlotDelta{{s, 2}}, Links: []LinkDelta{{s, 30, 30}},
-		Resources: []ResourceDelta{{s, []float64{2, 4}}}}
-	auth.Apply(d1)
-	log.Append(d1)
-	d2 := d1.Negate()
-	auth.Apply(d2)
-	log.Append(d2)
-
-	if got := rep.CatchUp(); got != 2 {
-		t.Fatalf("CatchUp reached %d, want 2", got)
-	}
-	if !reflect.DeepEqual(mutableState(rep.Tree()), mutableState(auth)) {
-		t.Fatal("replica drifted after catch-up")
-	}
-
-	// Speculate and roll back.
-	before := mutableState(rep.Tree())
-	rep.Checkpoint()
-	if err := rep.Tree().UseSlots(s, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Tree().Reserve(s, 99, 99); err != nil {
-		t.Fatal(err)
-	}
-	rep.Restore()
-	if !reflect.DeepEqual(mutableState(rep.Tree()), before) {
-		t.Fatal("restore was not byte-exact")
-	}
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Restore without Checkpoint did not panic")
-			}
-		}()
-		rep.Restore()
-	}()
 }
