@@ -144,8 +144,9 @@ func (e *Enforcement) SetDemand(g Grant, demands []Demand) error {
 }
 
 // SolveStats sums the per-shard incremental-stepping stats of the most
-// recent control period: how many connected components of the
-// tenant–link graph were re-solved versus how many exist. Solved <
+// recent control period: how many enforcement components (tenants
+// coupled through fabric links their demands can saturate) were
+// re-solved versus how many exist. Solved <
 // components means the incremental stepper spliced cached rates for
 // settled, untouched components; under FullRecompute the two are
 // always equal.

@@ -2,7 +2,7 @@ package dataplane
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cloudmirror/internal/enforce"
 	"cloudmirror/internal/netem"
@@ -33,7 +33,7 @@ func Bind(g *tag.Graph, pl place.Placement) (*Binding, error) {
 	for s := range pl {
 		servers = append(servers, s)
 	}
-	sort.Slice(servers, func(i, j int) bool { return servers[i] < servers[j] })
+	slices.Sort(servers)
 	for t := 0; t < g.Tiers(); t++ {
 		if g.Tier(t).External {
 			continue

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cloudmirror/internal/place"
@@ -74,8 +75,9 @@ func diffPlace(rng *rand.Rand, tree *topology.Tree, g *tag.Graph) place.Placemen
 }
 
 // diffDemands draws a random demand set over the tenant's TAG-permitted
-// pairs: a subset of pairs, each backlogged or finite.
-func diffDemands(rng *rand.Rand, drv *Driver, key int64) []Demand {
+// pairs: a subset of pairs, each backlogged or finite — or, when
+// finite is set, every one finite.
+func diffDemands(rng *rand.Rand, drv *Driver, key int64, finite bool) []Demand {
 	t := drv.tenants[key]
 	full := defaultDemands(t.bind.Deployment())
 	var ds []Demand
@@ -83,7 +85,7 @@ func diffDemands(rng *rand.Rand, drv *Driver, key int64) []Demand {
 		if rng.Intn(3) == 0 {
 			continue // drop ~1/3 of the pairs
 		}
-		if rng.Intn(2) == 0 {
+		if finite || rng.Intn(2) == 0 {
 			dm.Mbps = float64(rng.Intn(400)) + 1
 		}
 		ds = append(ds, dm)
@@ -129,10 +131,92 @@ func requireStatsIdentical(t *testing.T, step int, inc, full *StepStats) {
 	}
 }
 
+// driveTrace drives two drivers through one identical random churn
+// trace of admissions, resizes, releases, demand declarations, and
+// control periods, handing every period's pair of step reports to
+// check. With finite set, every tenant declares finite demands as soon
+// as it is bound, so no Greedy pair ever reaches a control period and
+// links bind only where declared loads add up to their capacity.
+func driveTrace(t *testing.T, seed int64, steps int, finite bool, a, b *Driver, check func(step int, sa, sb *StepStats)) {
+	t.Helper()
+	tree := diffTopo()
+	rng := rand.New(rand.NewSource(seed))
+	var live []int64
+	nextKey := int64(1)
+	declare := func(step int, key int64) {
+		ds := diffDemands(rng, a, key, finite)
+		if err := a.SetDemand(key, ds); err != nil {
+			t.Fatalf("step %d: SetDemand: %v", step, err)
+		}
+		if err := b.SetDemand(key, ds); err != nil {
+			t.Fatalf("step %d: SetDemand: %v", step, err)
+		}
+	}
+	apply := func(step int, ev place.Event) {
+		a.Publish(ev)
+		b.Publish(ev)
+		if finite && ev.Kind != place.EventReleased {
+			declare(step, ev.Key)
+		}
+	}
+
+	for step := 0; step < steps; step++ {
+		// Random churn between control periods.
+		for _, op := range []int{rng.Intn(4), rng.Intn(4)} {
+			switch {
+			case op == 0 || len(live) == 0: // admit
+				g := diffGraph(rng, int(nextKey))
+				pl := diffPlace(rng, tree, g)
+				apply(step, admitEvent(nextKey, g, pl))
+				live = append(live, nextKey)
+				nextKey++
+			case op == 1 && len(live) > 1: // release
+				i := rng.Intn(len(live))
+				apply(step, place.Event{Kind: place.EventReleased, Key: live[i]})
+				live = append(live[:i], live[i+1:]...)
+			case op == 2: // resize: rebind the same tenant elsewhere
+				i := rng.Intn(len(live))
+				g := diffGraph(rng, int(live[i]))
+				pl := diffPlace(rng, tree, g)
+				apply(step, place.Event{Kind: place.EventResized, Key: live[i], ID: live[i], Graph: g, Placement: pl})
+			default: // declare demands for a random live tenant
+				declare(step, live[rng.Intn(len(live))])
+			}
+		}
+
+		// A few quiet periods after each churn burst let limiters
+		// converge, driving components settled so the incremental path
+		// actually exercises its skip-and-splice branch.
+		quiet := 1 + rng.Intn(4)
+		for q := 0; q < quiet; q++ {
+			sa, err := a.Step()
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			sb, err := b.Step()
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			requireBoundsExact(t, a)
+			requireBoundsExact(t, b)
+			check(step, sa, sb)
+		}
+	}
+}
+
+// diffResult summarizes one incremental-vs-full trace.
+type diffResult struct {
+	// incSolves and fullSolves count component solves per driver.
+	incSolves, fullSolves int
+	// splitSteps counts periods whose partition is finer than the
+	// all-links partition of the same flow state.
+	splitSteps int
+}
+
 // runDifferential drives an incremental and a full-recompute driver
-// through one identical random trace, comparing every step transcript.
-// It returns how many component solves each driver performed.
-func runDifferential(t *testing.T, seed int64, steps int, alpha float64) (incSolves, fullSolves int) {
+// through one identical random trace, comparing every step transcript
+// bit-for-bit.
+func runDifferential(t *testing.T, seed int64, steps int, alpha float64, finite bool) diffResult {
 	t.Helper()
 	tree := diffTopo()
 	inc, err := New(tree, Config{Alpha: alpha})
@@ -143,70 +227,21 @@ func runDifferential(t *testing.T, seed int64, steps int, alpha float64) (incSol
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	rng := rand.New(rand.NewSource(seed))
-	var live []int64
-	nextKey := int64(1)
-	apply := func(ev place.Event) {
-		inc.Publish(ev)
-		full.Publish(ev)
-	}
-
-	for step := 0; step < steps; step++ {
-		// Random churn between control periods.
-		for _, op := range []int{rng.Intn(4), rng.Intn(4)} {
-			switch {
-			case op == 0 || len(live) == 0: // admit
-				g := diffGraph(rng, int(nextKey))
-				pl := diffPlace(rng, tree, g)
-				apply(admitEvent(nextKey, g, pl))
-				live = append(live, nextKey)
-				nextKey++
-			case op == 1 && len(live) > 1: // release
-				i := rng.Intn(len(live))
-				apply(place.Event{Kind: place.EventReleased, Key: live[i]})
-				live = append(live[:i], live[i+1:]...)
-			case op == 2: // resize: rebind the same tenant elsewhere
-				i := rng.Intn(len(live))
-				g := diffGraph(rng, int(live[i]))
-				pl := diffPlace(rng, tree, g)
-				apply(place.Event{Kind: place.EventResized, Key: live[i], ID: live[i], Graph: g, Placement: pl})
-			default: // declare demands for a random live tenant
-				i := rng.Intn(len(live))
-				ds := diffDemands(rng, inc, live[i])
-				if err := inc.SetDemand(live[i], ds); err != nil {
-					t.Fatalf("step %d: inc SetDemand: %v", step, err)
-				}
-				if err := full.SetDemand(live[i], ds); err != nil {
-					t.Fatalf("step %d: full SetDemand: %v", step, err)
-				}
-			}
+	var res diffResult
+	driveTrace(t, seed, steps, finite, inc, full, func(step int, stInc, stFull *StepStats) {
+		requireStatsIdentical(t, step, stInc, stFull)
+		s, c := inc.SolveStats()
+		res.incSolves += s
+		if c > len(allLinksPartition(inc)) {
+			res.splitSteps++
 		}
-
-		// A few quiet periods after each churn burst let limiters
-		// converge, driving components settled so the incremental path
-		// actually exercises its skip-and-splice branch.
-		quiet := 1 + rng.Intn(4)
-		for q := 0; q < quiet; q++ {
-			stInc, err := inc.Step()
-			if err != nil {
-				t.Fatalf("step %d: incremental: %v", step, err)
-			}
-			stFull, err := full.Step()
-			if err != nil {
-				t.Fatalf("step %d: full: %v", step, err)
-			}
-			requireStatsIdentical(t, step, stInc, stFull)
-			s, _ := inc.SolveStats()
-			incSolves += s
-			s, c := full.SolveStats()
-			fullSolves += s
-			if s != c {
-				t.Fatalf("step %d: full recompute solved %d of %d components", step, s, c)
-			}
+		s, c = full.SolveStats()
+		res.fullSolves += s
+		if s != c {
+			t.Fatalf("step %d: full recompute solved %d of %d components", step, s, c)
 		}
-	}
-	return incSolves, fullSolves
+	})
+	return res
 }
 
 // TestDifferentialIncrementalMatchesFull is the harness at alpha 1
@@ -219,10 +254,10 @@ func TestDifferentialIncrementalMatchesFull(t *testing.T) {
 		steps = 12
 	}
 	for seed := int64(1); seed <= 4; seed++ {
-		incSolves, fullSolves := runDifferential(t, seed, steps, 1)
-		if incSolves >= fullSolves {
+		res := runDifferential(t, seed, steps, 1, false)
+		if res.incSolves >= res.fullSolves {
 			t.Errorf("seed %d: incremental solved %d components, full %d — nothing was skipped",
-				seed, incSolves, fullSolves)
+				seed, res.incSolves, res.fullSolves)
 		}
 	}
 }
@@ -235,7 +270,98 @@ func TestDifferentialSmoothedLimiters(t *testing.T) {
 	if testing.Short() {
 		steps = 8
 	}
-	runDifferential(t, 99, steps, 0.3)
+	runDifferential(t, 99, steps, 0.3, false)
+}
+
+// TestDifferentialFiniteDemands runs the harness on traces whose
+// demands are all finite, at alpha 1 and 0.3. Half of the pairs in the
+// other traces are Greedy, so every link they cross can bind and the
+// partition never comes out finer than the all-links one; here links
+// bind only where the declared loads add up, so the demand-bounded
+// split must actually run — some period must have more components than
+// the all-links partition — and still give byte-identical transcripts.
+func TestDifferentialFiniteDemands(t *testing.T) {
+	steps := 40
+	if testing.Short() {
+		steps = 15
+	}
+	for _, alpha := range []float64{1, 0.3} {
+		for seed := int64(1); seed <= 4; seed++ {
+			res := runDifferential(t, seed, steps, alpha, true)
+			if res.splitSteps == 0 {
+				t.Errorf("alpha %g seed %d: no period split the all-links partition", alpha, seed)
+			}
+			// Smoothed limiters may not settle within a short trace, so
+			// only alpha 1 must skip.
+			if alpha == 1 && res.incSolves >= res.fullSolves {
+				t.Errorf("seed %d: incremental solved %d components, full %d — nothing was skipped",
+					seed, res.incSolves, res.fullSolves)
+			}
+		}
+	}
+}
+
+// TestDifferentialScopedMatchesAllLinks drives the demand-bounded
+// partition and the all-links reference partition through the
+// finite-demand churn traces. Splitting tenants across a link that
+// cannot bind moves no rate beyond the solver's freeze band, so every
+// pair rate must agree within 1e-6 Mbps and every guarantee must hold.
+// Bit-for-bit agreement is expected but not promised — another
+// tenant's water-level events can resolve a 1e-9 freeze decision
+// differently — so mismatching bits are counted and logged, not
+// failed. At alpha 1 the scoped MinRatio must be at least 1 − 1e-9 in
+// every period.
+func TestDifferentialScopedMatchesAllLinks(t *testing.T) {
+	seeds, steps := int64(40), 30
+	if testing.Short() {
+		seeds, steps = 8, 15
+	}
+	tree := diffTopo()
+	for _, alpha := range []float64{1, 0.3} {
+		splits, mismatches := 0, 0
+		for seed := int64(1); seed <= seeds; seed++ {
+			scoped, err := New(tree, Config{Alpha: alpha})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := New(tree, Config{Alpha: alpha})
+			if err != nil {
+				t.Fatal(err)
+			}
+			coupleAllLinks(ref)
+			driveTrace(t, seed, steps, true, scoped, ref, func(step int, ss, sr *StepStats) {
+				if !slices.EqualFunc(driverPartition(ref), allLinksPartition(ref), slices.Equal[[]int64]) {
+					t.Fatalf("alpha %g seed %d step %d: reference driver's partition is not the all-links one", alpha, seed, step)
+				}
+				if _, c := scoped.SolveStats(); c > len(ref.comps) {
+					splits++
+				}
+				// At alpha 1 every period honors every guarantee; smoothed
+				// limiters may dip below theirs while they converge, and
+				// then the scoped driver must dip no further.
+				if floor := min(1, sr.MinRatio) - 1e-9; ss.MinRatio < floor || (alpha == 1 && ss.MinRatio < 1-1e-9) {
+					t.Fatalf("alpha %g seed %d step %d: scoped MinRatio %g, all-links %g", alpha, seed, step, ss.MinRatio, sr.MinRatio)
+				}
+				for i := range ss.Tenants {
+					pa, pb := ss.Tenants[i].Pairs, sr.Tenants[i].Pairs
+					for j := range pa {
+						if math.Abs(pa[j].Rate-pb[j].Rate) > 1e-6 {
+							t.Fatalf("alpha %g seed %d step %d: tenant %d pair %d rate %g, all-links %g",
+								alpha, seed, step, ss.Tenants[i].Key, j, pa[j].Rate, pb[j].Rate)
+						}
+						if math.Float64bits(pa[j].Rate) != math.Float64bits(pb[j].Rate) {
+							mismatches++
+						}
+					}
+				}
+			})
+		}
+		t.Logf("alpha %g: %d seeds, %d split periods, %d pair rates not bit-identical to the all-links partition",
+			alpha, seeds, splits, mismatches)
+		if splits == 0 {
+			t.Errorf("alpha %g: no period split the all-links partition", alpha)
+		}
+	}
 }
 
 // TestDifferentialConverge checks the other stepping entry point:

@@ -1,9 +1,10 @@
 package dataplane
 
 import (
+	"cmp"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"cloudmirror/internal/enforce"
@@ -26,11 +27,11 @@ type Config struct {
 	// the Fig. 4 failure mode), or "gatekeeper" (§2.2 baseline).
 	Partitioner string
 	// FullRecompute disables incremental stepping: every control period
-	// re-solves every connected component, whether or not anything
-	// changed since the last period. The escape hatch exists for
-	// debugging and for the differential harness that proves the
-	// incremental path equivalent; both modes produce byte-identical
-	// step transcripts.
+	// re-solves every component, whether or not anything changed since
+	// the last period; both modes use the same partition. The escape
+	// hatch exists for debugging and for the differential harness that
+	// proves the incremental path equivalent; both modes produce
+	// byte-identical step transcripts.
 	FullRecompute bool
 }
 
@@ -114,8 +115,10 @@ type tenant struct {
 	// Derived flow state, rebuilt by refreshFlows when flowsDirty:
 	// pairIdx maps each demand to its index in the enforced-pair lists
 	// (-1 for colocated pairs, which never cross the fabric), and links
-	// is the deduplicated set of fabric links the tenant's paths touch —
-	// the adjacency the component rebuild unions over.
+	// is the ascending, deduplicated set of fabric links the tenant's
+	// paths touch — the adjacency the component rebuild unions over
+	// wherever a link can bind. The driver's link bounds count exactly
+	// these pairs' demands along these paths.
 	flowsDirty bool
 	pairIdx    []int32
 	pairs      []enforce.Pair // tenant-local VM IDs
@@ -198,11 +201,15 @@ type StepStats struct {
 // GP/RA control loop over the shared fabric.
 //
 // Steps are component-incremental: weighted max-min decomposes exactly
-// over connected components of the flow–link graph, so the driver
-// tracks which tenants share fabric links (union-find, rebuilt lazily
-// after lifecycle events), re-solves only components dirtied by events,
-// demand changes, or unconverged limiters, and splices cached rates for
-// the rest. Dirty components solve in parallel; results fold in
+// over connected components of the flow–link graph, and a link whose
+// summed offered demand stays below its capacity never saturates, so
+// it couples nothing. The driver therefore tracks which tenants share
+// fabric links that can bind — links whose demand bound reaches their
+// capacity minus a small margin (see components.go) — in a union-find
+// rebuilt lazily when lifecycle events or demand changes alter that
+// coupling, re-solves only components dirtied by events, demand
+// changes, or unconverged limiters, and splices cached rates for the
+// rest. Dirty components solve in parallel; results fold in
 // deterministic component order. Config.FullRecompute restores
 // solve-everything stepping; both modes produce byte-identical
 // transcripts. All methods are safe for concurrent use.
@@ -215,8 +222,10 @@ type Driver struct {
 	tenants map[int64]*tenant
 	order   []int64
 
-	// Component structure (see components.go). structureDirty forces a
-	// union-find rebuild at the next step.
+	// Component structure (see components.go). bounds holds the
+	// per-link demand bounds that decide which links couple tenants;
+	// structureDirty forces a union-find rebuild at the next step.
+	bounds         linkBounds
 	structureDirty bool
 	comps          []component
 	compSizes      []int
@@ -259,6 +268,7 @@ func New(tree *topology.Tree, cfg Config) (*Driver, error) {
 		fab:      fab,
 		fabCaps:  caps,
 		cfg:      cfg,
+		bounds:   newLinkBounds(caps),
 		tenants:  make(map[int64]*tenant),
 		counters: Counters{FabricBuilds: 1},
 	}
@@ -292,9 +302,11 @@ func (d *Driver) Publish(ev place.Event) {
 			d.counters.Resized++
 		}
 	case place.EventReleased:
-		if _, ok := d.tenants[ev.Key]; !ok {
+		t, ok := d.tenants[ev.Key]
+		if !ok {
 			return
 		}
+		d.bounds.addTenant(t, -1)
 		delete(d.tenants, ev.Key)
 		for i, k := range d.order {
 			if k == ev.Key {
@@ -327,8 +339,10 @@ func (d *Driver) install(ev place.Event) bool {
 	t.graph, t.bind, t.gp = ev.Graph, bind, d.cfg.newPartitioner(bind.Deployment())
 	t.demands = nil // VM IDs changed; offered loads must be re-declared
 	// The VM set changed: flow state and limiter values are meaningless
-	// under the new binding. Pairs restart at their guarantees.
+	// under the new binding. Pairs restart at their guarantees; the old
+	// pairs leave the link bounds now, the new ones join at refresh.
 	t.flowsDirty, t.dirty = true, true
+	d.bounds.addTenant(t, -1)
 	t.pairs = t.pairs[:0]
 	t.limits = t.limits[:0]
 	d.structureDirty = true
@@ -369,17 +383,15 @@ func (d *Driver) SetDemand(key int64, demands []Demand) error {
 				"demand pair (%d,%d) has invalid offered load %g", dm.Src, dm.Dst, dm.Mbps)
 		}
 	}
-	sort.Slice(ds, func(i, j int) bool {
-		if ds[i].Src != ds[j].Src {
-			return ds[i].Src < ds[j].Src
-		}
-		return ds[i].Dst < ds[j].Dst
+	slices.SortFunc(ds, func(a, b Demand) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
 	})
 
 	// Classify the change: identical declarations are no-ops, same-pair
-	// declarations only update offered loads (paths, links, and the
-	// component structure are untouched), new pair sets rebuild flow
-	// state and the structure.
+	// declarations only update offered loads and patch the link bounds
+	// along the changed pairs' paths (the component structure is
+	// rebuilt only if a link crossed its can-bind threshold), new pair
+	// sets rebuild flow state and the structure.
 	if t.demands != nil && !t.flowsDirty {
 		samePairs := len(ds) == len(t.demands)
 		sameLoads := samePairs
@@ -400,9 +412,13 @@ func (d *Driver) SetDemand(key int64, demands []Demand) error {
 		if samePairs {
 			t.demands = ds
 			for di, dm := range ds {
-				if pi := t.pairIdx[di]; pi >= 0 {
-					t.pairs[pi].Demand = dm.Mbps
+				pi := t.pairIdx[di]
+				if pi < 0 || math.Float64bits(t.pairs[pi].Demand) == math.Float64bits(dm.Mbps) {
+					continue
 				}
+				d.bounds.add(t.paths[pi], t.pairs[pi].Demand, -1)
+				d.bounds.add(t.paths[pi], dm.Mbps, 1)
+				t.pairs[pi].Demand = dm.Mbps
 			}
 			t.dirty = true
 			return nil
@@ -458,7 +474,8 @@ func (d *Driver) RestoreCounters(c Counters) {
 }
 
 // SolveStats reports the previous step's incremental effort: how many
-// connected components were re-solved out of how many the shard holds.
+// components (tenants coupled through links that can bind, see
+// components.go) were re-solved out of how many the shard holds.
 // Under FullRecompute solved always equals components.
 func (d *Driver) SolveStats() (solved, components int) {
 	d.mu.Lock()
@@ -527,12 +544,15 @@ func (d *Driver) stepLocked() (*StepStats, []float64, error) {
 	}
 
 	// 1. Materialize flow state for tenants whose demands or binding
-	// changed, then rebuild the component structure if membership could
-	// have moved.
+	// changed, bring the link bounds' can-bind flags up to date, then
+	// rebuild the component structure if membership could have moved.
 	for _, key := range d.order {
 		if t := d.tenants[key]; t.flowsDirty {
 			d.refreshFlows(t)
 		}
+	}
+	if d.bounds.sync() {
+		d.structureDirty = true
 	}
 	if d.structureDirty {
 		d.rebuildComponents()
@@ -560,10 +580,12 @@ func (d *Driver) stepLocked() (*StepStats, []float64, error) {
 	d.lastSolved, d.lastComps = len(d.solveSet), len(d.comps)
 
 	// 3. Solve dirty components in parallel. Components are disjoint
-	// tenant sets over disjoint links, every goroutine works on pooled
-	// scratch, and shared state (fabric, order) is read-only, so results
-	// are independent of scheduling; the fold below runs in component
-	// order.
+	// tenant sets, but they may share links that cannot bind: shared
+	// per-link state (fabCaps, the fabric Network) and shared structure
+	// (order, the tenant map) are only read during solves, and each
+	// goroutine writes only its pooled scratch and its own member
+	// tenants, so results are independent of scheduling; the fold below
+	// runs in component order.
 	err := parallel.ForEach(parallel.Workers(0), len(d.solveSet), func(i int) error {
 		ctx := d.pool.Get().(*solveCtx)
 		defer d.pool.Put(ctx)
@@ -577,13 +599,20 @@ func (d *Driver) stepLocked() (*StepStats, []float64, error) {
 	}
 
 	// 4. Gather: splice per-tenant caches (freshly solved or carried)
-	// into the step report, in admission order.
+	// into the step report, in admission order. Every tenant's pair
+	// list is carved from one allocation.
 	st := &StepStats{Tenants: make([]TenantStats, len(d.order)), MinRatio: 1}
+	npairs := 0
+	for _, key := range d.order {
+		npairs += len(d.tenants[key].demands)
+	}
+	pairStats := make([]PairStats, 0, npairs)
 	d.allRates = d.allRates[:0]
 	for i, key := range d.order {
 		t := d.tenants[key]
 		ts := &st.Tenants[i]
 		*ts = TenantStats{Key: t.key, ID: t.id, MinRatio: 1}
+		first := len(pairStats)
 		for di, dm := range t.demands {
 			ps := PairStats{Src: dm.Src, Dst: dm.Dst, Demand: dm.Mbps}
 			if pi := t.pairIdx[di]; pi < 0 {
@@ -605,7 +634,10 @@ func (d *Driver) stepLocked() (*StepStats, []float64, error) {
 				st.Pairs++
 				d.allRates = append(d.allRates, ps.Rate)
 			}
-			ts.Pairs = append(ts.Pairs, ps)
+			pairStats = append(pairStats, ps)
+		}
+		if len(pairStats) > first {
+			ts.Pairs = pairStats[first:len(pairStats):len(pairStats)]
 		}
 	}
 	for i := range st.Tenants {
